@@ -25,9 +25,12 @@
 #include "runtime/atomic.hpp"
 #include "runtime/hierarchy.hpp"
 
-/// Short git SHA baked in by bench/CMakeLists.txt; "unknown" outside git.
+/// Short git SHA and CMake build type baked in by bench/CMakeLists.txt.
 #ifndef HC_GIT_SHA
 #define HC_GIT_SHA "unknown"
+#endif
+#ifndef HC_BUILD_TYPE
+#define HC_BUILD_TYPE "unknown"
 #endif
 
 namespace hc::bench {
@@ -228,9 +231,10 @@ struct QuietLogs {
 };
 
 /// Common sidecar meta block (schema 2): host_cpus, worker threads, git
-/// SHA and wall-clock runtime since `start`. Shared by ObsExporter and the
-/// custom sidecars (bench_state, bench_chaos, bench_byzantine) so every
-/// BENCH_*.json records the same environment fields.
+/// SHA, build type and wall-clock runtime since `start`. Shared by
+/// ObsExporter and the custom sidecars (bench_state, bench_chaos,
+/// bench_byzantine, bench_crypto) so every BENCH_*.json records the same
+/// environment fields.
 inline std::string bench_meta_json(
     std::chrono::steady_clock::time_point start) {
   const double wall =
@@ -243,6 +247,7 @@ inline std::string bench_meta_json(
          std::to_string(std::thread::hardware_concurrency()) +
          ", \"threads\": " + std::to_string(bench_threads()) +
          ", \"git_sha\": \"" + obs::json_escape(HC_GIT_SHA) +
+         "\", \"build_type\": \"" + obs::json_escape(HC_BUILD_TYPE) +
          "\", \"wall_seconds\": " + wall_buf + "}";
 }
 

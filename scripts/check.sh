@@ -3,7 +3,9 @@
 # ThreadSanitizer build (TSan cannot combine with ASan) running the
 # parallel-determinism suite and the chaos/Byzantine smokes at multiple
 # worker-thread counts, then a plain optimized build running the profiler
-# smoke and the bench-baseline regression gate (DESIGN.md §13).
+# smoke and the bench-baseline regression gate (DESIGN.md §13). The ASan
+# and perf builds compile with -Werror: the tree is warning-free under GCC
+# and stays that way.
 # Usage: scripts/check.sh [build-dir] [tsan-build-dir] [perf-build-dir]
 #        (defaults: build-asan, build-tsan, build-perf)
 set -euo pipefail
@@ -17,7 +19,7 @@ SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
-  -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
+  -DCMAKE_CXX_FLAGS="$SAN_FLAGS -Werror" \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
 
 cmake --build "$BUILD_DIR" -j "$(nproc)"
@@ -103,7 +105,8 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^ByzantineSmoke\.'
 # simulated-time metrics must match the committed baseline within 10%
 # (they are deterministic per seed, so on unchanged code the deltas are
 # exactly zero).
-cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$PERF_DIR" -j "$(nproc)" --target bench_fig1_scaling \
   --target bench_overload --target bench_recovery --target bench_hotpath
 

@@ -1,7 +1,6 @@
 #include "crypto/ec.hpp"
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -9,92 +8,49 @@ namespace hc::crypto {
 
 namespace {
 
-// p = FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFE FFFFFC2F
-const U256 kP = U256::from_limbs_be(0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFFull,
-                                    0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFEFFFFFC2Full);
 // n = FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFE BAAEDCE6 AF48A03B BFD25E8C D0364141
 const U256 kN = U256::from_limbs_be(0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFEull,
                                     0xBAAEDCE6AF48A03Bull, 0xBFD25E8CD0364141ull);
-// 2^256 mod p = 2^32 + 977
-const U256 kPComplement = U256(0x1000003D1ull);
+// 2^256 - n = 1 4551231950B75FC4 402DA1732FC9BEBF (129 bits), low limb first.
+constexpr std::uint64_t kNC[3] = {0x402DA1732FC9BEBFull, 0x4551231950B75FC4ull,
+                                  1};
 
 const U256 kGx = U256::from_limbs_be(0x79BE667EF9DCBBACull, 0x55A06295CE870B07ull,
                                      0x029BFCDB2DCE28D9ull, 0x59F2815B16F81798ull);
 const U256 kGy = U256::from_limbs_be(0x483ADA7726A3C465ull, 0x5DA4FBFC0E1108A8ull,
                                      0xFD17B448A6855419ull, 0x9C47D08FFB10D4B8ull);
 
-// Reduce a 512-bit value mod p using 2^256 ≡ 2^32 + 977 (mod p).
-U256 reduce512_p(const WideProduct& w) {
-  // First fold: result = lo + hi * (2^32 + 977). hi*(2^32+977) < 2^289, so
-  // express it as another Wide via mul_wide and fold again.
-  WideProduct f1 = mul_wide(w.hi, kPComplement);
-  U256 acc = w.lo;
-  std::uint64_t carry = acc.add_with_carry(f1.lo);
-  // Remaining high part: f1.hi (tiny, < 2^33) plus the carry.
-  U256 high = f1.hi;
-  high.add_with_carry(U256(carry));
-  // Second fold: high * (2^32 + 977) fits comfortably in 256 bits.
-  WideProduct f2 = mul_wide(high, kPComplement);
-  assert(f2.hi.is_zero());
-  carry = acc.add_with_carry(f2.lo);
-  if (carry != 0) {
-    // acc overflowed 2^256: add the complement once more.
-    acc.add_with_carry(kPComplement);
+/// Reduce a 512-bit value mod n. Each pass replaces hi * 2^256 + lo by
+/// lo + hi * (2^256 - n), shrinking 512 -> 386 -> 260 bits and then to at
+/// most 2^256 + 2^133, after which one more pass fits in 256 bits (< 2n).
+U256 reduce512_n(const std::uint64_t* t) {
+  std::uint64_t x[8];
+  for (int i = 0; i < 8; ++i) x[i] = t[i];
+  int len = 8;
+  while (len > 4) {
+    std::uint64_t y[8] = {x[0], x[1], x[2], x[3], 0, 0, 0, 0};
+    for (int i = 0; i + 4 < len; ++i) {
+      detail::u128 acc = 0;
+      int j = 0;
+      for (; j < 3; ++j) {
+        acc += static_cast<detail::u128>(x[4 + i]) * kNC[j] + y[i + j];
+        y[i + j] = static_cast<std::uint64_t>(acc);
+        acc >>= 64;
+      }
+      for (; acc != 0; ++j) {
+        acc += y[i + j];
+        y[i + j] = static_cast<std::uint64_t>(acc);
+        acc >>= 64;
+      }
+    }
+    len = 8;
+    while (len > 4 && y[len - 1] == 0) --len;
+    for (int i = 0; i < 8; ++i) x[i] = y[i];
   }
-  while (acc >= kP) acc.sub_with_borrow(kP);
-  return acc;
+  return fn::reduce(U256::from_limbs_be(x[3], x[2], x[1], x[0]));
 }
 
 }  // namespace
-
-namespace fp {
-
-const U256& P() { return kP; }
-
-U256 reduce(const U256& a) {
-  U256 r = a;
-  while (r >= kP) r.sub_with_borrow(kP);
-  return r;
-}
-
-U256 add(const U256& a, const U256& b) {
-  U256 r = a;
-  const std::uint64_t carry = r.add_with_carry(b);
-  if (carry != 0) r.add_with_carry(kPComplement);
-  while (r >= kP) r.sub_with_borrow(kP);
-  return r;
-}
-
-U256 sub(const U256& a, const U256& b) {
-  U256 r = a;
-  if (r.sub_with_borrow(b) != 0) r.add_with_carry(kP);
-  return r;
-}
-
-U256 mul(const U256& a, const U256& b) {
-  return reduce512_p(mul_wide(a, b));
-}
-
-U256 sqr(const U256& a) { return mul(a, a); }
-
-U256 pow(const U256& a, const U256& e) {
-  U256 result(1);
-  const int top = e.top_bit();
-  for (int i = top; i >= 0; --i) {
-    result = sqr(result);
-    if (e.bit(i)) result = mul(result, a);
-  }
-  return result;
-}
-
-U256 inv(const U256& a) {
-  assert(!a.is_zero() && "field inverse of zero");
-  U256 exp = kP;
-  exp.sub_with_borrow(U256(2));
-  return pow(a, exp);
-}
-
-}  // namespace fp
 
 namespace fn {
 
@@ -127,22 +83,17 @@ U256 sub(const U256& a, const U256& b) {
 }
 
 U256 mul(const U256& a, const U256& b) {
-  // Shift-add: mod-n multiplications are rare (a handful per signature), so
-  // the simple O(256)-addition loop is fine here.
-  U256 acc;
-  const U256 aa = reduce(a);
-  const int top = b.top_bit();
-  for (int i = top; i >= 0; --i) {
-    acc = add(acc, acc);
-    if (b.bit(i)) acc = add(acc, aa);
-  }
-  return acc;
+  const std::uint64_t al[4] = {a.limb(0), a.limb(1), a.limb(2), a.limb(3)};
+  const std::uint64_t bl[4] = {b.limb(0), b.limb(1), b.limb(2), b.limb(3)};
+  std::uint64_t t[8];
+  detail::mul_512(al, bl, t);
+  return reduce512_n(t);
 }
 
 }  // namespace fn
 
 Point Point::from_affine(const U256& x, const U256& y) {
-  return Point(x, y, U256(1));
+  return Point(Fe::from_u256(x), Fe::from_u256(y), Fe(1));
 }
 
 const Point& Point::generator() {
@@ -153,79 +104,75 @@ const Point& Point::generator() {
 Point Point::doubled() const {
   if (is_infinity() || y_.is_zero()) return Point();
   // dbl-2007-bl formulas for a = 0.
-  const U256 a = fp::sqr(x_);                       // X^2
-  const U256 b = fp::sqr(y_);                       // Y^2
-  const U256 c = fp::sqr(b);                        // B^2
-  U256 d = fp::sub(fp::sqr(fp::add(x_, b)), fp::add(a, c));
-  d = fp::add(d, d);                                // 2*((X+B)^2 - A - C)
-  const U256 e = fp::add(fp::add(a, a), a);         // 3*A
-  const U256 f = fp::sqr(e);
-  const U256 x3 = fp::sub(f, fp::add(d, d));
-  U256 c8 = fp::add(c, c);
-  c8 = fp::add(c8, c8);
-  c8 = fp::add(c8, c8);
-  const U256 y3 = fp::sub(fp::mul(e, fp::sub(d, x3)), c8);
-  const U256 z3 = fp::mul(fp::add(y_, y_), z_);
+  const Fe a = x_.sqr();                            // X^2
+  const Fe b = y_.sqr();                            // Y^2
+  const Fe c = b.sqr();                             // B^2
+  Fe d = (x_ + b).sqr() - (a + c);
+  d = d + d;                                        // 2*((X+B)^2 - A - C)
+  const Fe e = a + a + a;                           // 3*A
+  const Fe f = e.sqr();
+  const Fe x3 = f - (d + d);
+  Fe c8 = c + c;
+  c8 = c8 + c8;
+  c8 = c8 + c8;
+  const Fe y3 = e * (d - x3) - c8;
+  const Fe z3 = (y_ + y_) * z_;
   return Point(x3, y3, z3);
 }
 
 Point Point::add(const Point& other) const {
   if (is_infinity()) return other;
   if (other.is_infinity()) return *this;
-  const U256 z1z1 = fp::sqr(z_);
-  const U256 z2z2 = fp::sqr(other.z_);
-  const U256 u1 = fp::mul(x_, z2z2);
-  const U256 u2 = fp::mul(other.x_, z1z1);
-  const U256 s1 = fp::mul(y_, fp::mul(z2z2, other.z_));
-  const U256 s2 = fp::mul(other.y_, fp::mul(z1z1, z_));
-  const U256 h = fp::sub(u2, u1);
-  const U256 r = fp::sub(s2, s1);
+  const Fe z1z1 = z_.sqr();
+  const Fe z2z2 = other.z_.sqr();
+  const Fe u1 = x_ * z2z2;
+  const Fe u2 = other.x_ * z1z1;
+  const Fe s1 = y_ * (z2z2 * other.z_);
+  const Fe s2 = other.y_ * (z1z1 * z_);
+  const Fe h = u2 - u1;
+  const Fe r = s2 - s1;
   if (h.is_zero()) {
     if (r.is_zero()) return doubled();
     return Point();  // P + (-P) = infinity
   }
-  const U256 h2 = fp::sqr(h);
-  const U256 h3 = fp::mul(h2, h);
-  const U256 u1h2 = fp::mul(u1, h2);
-  U256 x3 = fp::sub(fp::sqr(r), h3);
-  x3 = fp::sub(x3, fp::add(u1h2, u1h2));
-  const U256 y3 = fp::sub(fp::mul(r, fp::sub(u1h2, x3)), fp::mul(s1, h3));
-  const U256 z3 = fp::mul(h, fp::mul(z_, other.z_));
+  const Fe h2 = h.sqr();
+  const Fe h3 = h2 * h;
+  const Fe u1h2 = u1 * h2;
+  const Fe x3 = r.sqr() - h3 - (u1h2 + u1h2);
+  const Fe y3 = r * (u1h2 - x3) - s1 * h3;
+  const Fe z3 = h * (z_ * other.z_);
   return Point(x3, y3, z3);
 }
 
-Point Point::add_affine(const U256& x, const U256& y) const {
-  if (is_infinity()) return Point(x, y, U256(1));
+Point Point::add_affine(const Fe& x, const Fe& y) const {
+  if (is_infinity()) return Point(x, y, Fe(1));
   // madd-2007-bl specialization of add() for Z2 == 1.
-  const U256 z1z1 = fp::sqr(z_);
-  const U256 u2 = fp::mul(x, z1z1);
-  const U256 s2 = fp::mul(y, fp::mul(z1z1, z_));
-  const U256 h = fp::sub(u2, x_);
-  const U256 r = fp::sub(s2, y_);
+  const Fe z1z1 = z_.sqr();
+  const Fe u2 = x * z1z1;
+  const Fe s2 = y * (z1z1 * z_);
+  const Fe h = u2 - x_;
+  const Fe r = s2 - y_;
   if (h.is_zero()) {
     if (r.is_zero()) return doubled();
     return Point();  // P + (-P) = infinity
   }
-  const U256 h2 = fp::sqr(h);
-  const U256 h3 = fp::mul(h2, h);
-  const U256 u1h2 = fp::mul(x_, h2);
-  U256 x3 = fp::sub(fp::sqr(r), h3);
-  x3 = fp::sub(x3, fp::add(u1h2, u1h2));
-  const U256 y3 = fp::sub(fp::mul(r, fp::sub(u1h2, x3)), fp::mul(y_, h3));
-  const U256 z3 = fp::mul(h, z_);
+  const Fe h2 = h.sqr();
+  const Fe h3 = h2 * h;
+  const Fe u1h2 = x_ * h2;
+  const Fe x3 = r.sqr() - h3 - (u1h2 + u1h2);
+  const Fe y3 = r * (u1h2 - x3) - y_ * h3;
+  const Fe z3 = h * z_;
   return Point(x3, y3, z3);
 }
 
-Point Point::negated() const {
-  return Point(x_, fp::sub(U256(), y_), z_);
-}
+Point Point::negated() const { return Point(x_, -y_, z_); }
 
 namespace {
 
 /// One normalized entry of the fixed-base comb table.
 struct AffineEntry {
-  U256 x;
-  U256 y;
+  Fe x;
+  Fe y;
 };
 
 }  // namespace
@@ -251,21 +198,20 @@ struct GenTableBuilder {
       base = acc;  // 256 * (2^(8j) * G) = 2^(8(j+1)) * G
     }
     // Batch inversion: prefix[i] = Z_0 * ... * Z_i, one inv, walk back.
-    std::vector<U256> prefix(jac.size());
-    U256 running(1);
+    std::vector<Fe> prefix(jac.size());
+    Fe running(1);
     for (std::size_t i = 0; i < jac.size(); ++i) {
-      running = fp::mul(running, jac[i].z_);
+      running = running * jac[i].z_;
       prefix[i] = running;
     }
-    U256 inv_all = fp::inv(running);
+    Fe inv_all = running.inv();
     std::vector<AffineEntry> out(jac.size());
     for (std::size_t i = jac.size(); i-- > 0;) {
-      const U256 zinv =
-          i == 0 ? inv_all : fp::mul(inv_all, prefix[i - 1]);
-      inv_all = fp::mul(inv_all, jac[i].z_);
-      const U256 zinv2 = fp::sqr(zinv);
-      out[i].x = fp::mul(jac[i].x_, zinv2);
-      out[i].y = fp::mul(jac[i].y_, fp::mul(zinv2, zinv));
+      const Fe zinv = i == 0 ? inv_all : inv_all * prefix[i - 1];
+      inv_all = inv_all * jac[i].z_;
+      const Fe zinv2 = zinv.sqr();
+      out[i].x = jac[i].x_ * zinv2;
+      out[i].y = jac[i].y_ * (zinv2 * zinv);
     }
     return out;
   }
@@ -363,15 +309,14 @@ Point Point::mul_generator(const U256& k) {
 
 std::optional<Point::Affine> Point::to_affine() const {
   if (is_infinity()) return std::nullopt;
-  const U256 zinv = fp::inv(z_);
-  const U256 zinv2 = fp::sqr(zinv);
-  return Affine{fp::mul(x_, zinv2), fp::mul(y_, fp::mul(zinv2, zinv))};
+  const Fe zinv = z_.inv();
+  const Fe zinv2 = zinv.sqr();
+  return Affine{(x_ * zinv2).to_u256(), (y_ * (zinv2 * zinv)).to_u256()};
 }
 
 bool Point::is_on_curve(const U256& x, const U256& y) {
-  const U256 lhs = fp::sqr(y);
-  const U256 rhs = fp::add(fp::mul(fp::sqr(x), x), U256(7));
-  return lhs == rhs;
+  const Fe fx = Fe::from_u256(x);
+  return Fe::from_u256(y).sqr() == fx.sqr() * fx + Fe(7);
 }
 
 bool Point::equals(const Point& other) const {
@@ -379,11 +324,10 @@ bool Point::equals(const Point& other) const {
     return is_infinity() == other.is_infinity();
   }
   // X1/Z1^2 == X2/Z2^2  <=>  X1*Z2^2 == X2*Z1^2 (and same for Y with cubes).
-  const U256 z1z1 = fp::sqr(z_);
-  const U256 z2z2 = fp::sqr(other.z_);
-  if (fp::mul(x_, z2z2) != fp::mul(other.x_, z1z1)) return false;
-  return fp::mul(y_, fp::mul(z2z2, other.z_)) ==
-         fp::mul(other.y_, fp::mul(z1z1, z_));
+  const Fe z1z1 = z_.sqr();
+  const Fe z2z2 = other.z_.sqr();
+  if (x_ * z2z2 != other.x_ * z1z1) return false;
+  return y_ * (z2z2 * other.z_) == other.y_ * (z1z1 * z_);
 }
 
 }  // namespace hc::crypto

@@ -1,32 +1,18 @@
 // secp256k1 elliptic-curve arithmetic: y^2 = x^3 + 7 over F_p.
 //
-// Field multiplication uses the fast reduction enabled by the special prime
-// p = 2^256 - 2^32 - 977; scalar arithmetic mod the group order n uses a
-// generic (slower, rarely called) shift-add reduction. Points are tracked in
-// Jacobian coordinates to avoid per-operation field inversions.
+// Coordinates are field elements (Fe, field.hpp); scalars mod the group
+// order n stay U256 and multiply as a full 512-bit product folded by the
+// 129-bit constant 2^256 - n. Points are tracked in Jacobian coordinates to
+// avoid per-operation field inversions. U256 appears only at the public
+// boundary: affine coordinates in and out, and scalars.
 #pragma once
 
 #include <optional>
 
+#include "crypto/field.hpp"
 #include "crypto/u256.hpp"
 
 namespace hc::crypto {
-
-/// Field arithmetic modulo the secp256k1 prime p.
-namespace fp {
-/// The field prime p = 2^256 - 2^32 - 977.
-[[nodiscard]] const U256& P();
-[[nodiscard]] U256 add(const U256& a, const U256& b);
-[[nodiscard]] U256 sub(const U256& a, const U256& b);
-[[nodiscard]] U256 mul(const U256& a, const U256& b);
-[[nodiscard]] U256 sqr(const U256& a);
-/// a^e mod p (square-and-multiply).
-[[nodiscard]] U256 pow(const U256& a, const U256& e);
-/// Multiplicative inverse via Fermat (a != 0).
-[[nodiscard]] U256 inv(const U256& a);
-/// Reduce an arbitrary 256-bit value into [0, p).
-[[nodiscard]] U256 reduce(const U256& a);
-}  // namespace fp
 
 /// Scalar arithmetic modulo the group order n.
 namespace fn {
@@ -34,6 +20,7 @@ namespace fn {
 [[nodiscard]] const U256& N();
 [[nodiscard]] U256 add(const U256& a, const U256& b);
 [[nodiscard]] U256 sub(const U256& a, const U256& b);
+/// a * b mod n for any 256-bit a and b.
 [[nodiscard]] U256 mul(const U256& a, const U256& b);
 /// Reduce an arbitrary 256-bit value into [0, n).
 [[nodiscard]] U256 reduce(const U256& a);
@@ -44,9 +31,10 @@ namespace fn {
 class Point {
  public:
   /// Point at infinity.
-  Point() : x_(), y_(U256(1)), z_() {}
+  Point() : x_(), y_(Fe(1)), z_() {}
 
-  /// From affine coordinates (assumed on-curve; see is_on_curve()).
+  /// From affine coordinates (reduced mod p; assumed on-curve, see
+  /// is_on_curve()).
   [[nodiscard]] static Point from_affine(const U256& x, const U256& y);
 
   /// The generator G.
@@ -59,7 +47,7 @@ class Point {
   /// Mixed addition with an affine point (implicit Z == 1): 8M + 3S versus
   /// the 12M + 4S of the general Jacobian add. The workhorse of the
   /// fixed-base table walk in mul_generator().
-  [[nodiscard]] Point add_affine(const U256& x, const U256& y) const;
+  [[nodiscard]] Point add_affine(const Fe& x, const Fe& y) const;
   /// Group negation (X, -Y, Z).
   [[nodiscard]] Point negated() const;
   /// Scalar multiplication k * this (width-5 wNAF: a shared doubling chain
@@ -80,7 +68,7 @@ class Point {
   };
   [[nodiscard]] std::optional<Affine> to_affine() const;
 
-  /// Verify the affine point satisfies the curve equation.
+  /// Verify the affine point (reduced mod p) satisfies the curve equation.
   [[nodiscard]] static bool is_on_curve(const U256& x, const U256& y);
 
   /// Equality as group elements (cross-multiplied, no inversion).
@@ -89,11 +77,11 @@ class Point {
  private:
   friend struct GenTableBuilder;  // batch-normalizes the fixed-base table
 
-  Point(const U256& x, const U256& y, const U256& z) : x_(x), y_(y), z_(z) {}
+  Point(const Fe& x, const Fe& y, const Fe& z) : x_(x), y_(y), z_(z) {}
 
-  U256 x_;
-  U256 y_;
-  U256 z_;
+  Fe x_;
+  Fe y_;
+  Fe z_;
 };
 
 }  // namespace hc::crypto

@@ -67,25 +67,4 @@ std::uint64_t U256::sub_with_borrow(const U256& rhs) {
   return borrow;
 }
 
-WideProduct mul_wide(const U256& a, const U256& b) {
-  std::uint64_t prod[8] = {};
-  for (std::size_t i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      unsigned __int128 cur =
-          static_cast<unsigned __int128>(a.limbs_[i]) * b.limbs_[j] +
-          prod[i + j] + carry;
-      prod[i + j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    prod[i + 4] += carry;
-  }
-  WideProduct w;
-  for (std::size_t i = 0; i < 4; ++i) {
-    w.lo.limbs_[i] = prod[i];
-    w.hi.limbs_[i] = prod[i + 4];
-  }
-  return w;
-}
-
 }  // namespace hc::crypto

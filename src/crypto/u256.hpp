@@ -1,8 +1,8 @@
 // 256-bit unsigned integer arithmetic.
 //
 // Fixed-width little-endian limb representation (limbs_[0] is least
-// significant). This is the substrate for the secp256k1 field/scalar
-// arithmetic in ec.hpp; only the operations those need are provided.
+// significant). This is the byte and public-API form of field elements and
+// scalars; the field arithmetic itself runs on Fe (field.hpp).
 #pragma once
 
 #include <array>
@@ -14,10 +14,6 @@
 #include "common/bytes.hpp"
 
 namespace hc::crypto {
-
-class U256;
-struct WideProduct;
-[[nodiscard]] WideProduct mul_wide(const U256& a, const U256& b);
 
 class U256 {
  public:
@@ -94,15 +90,7 @@ class U256 {
   friend constexpr bool operator==(const U256&, const U256&) = default;
 
  private:
-  friend WideProduct mul_wide(const U256& a, const U256& b);
-
   std::array<std::uint64_t, 4> limbs_;
-};
-
-/// Full 512-bit product as {lo, hi} (see mul_wide).
-struct WideProduct {
-  U256 lo;
-  U256 hi;
 };
 
 }  // namespace hc::crypto

@@ -100,8 +100,10 @@ std::vector<core::FraudProof> CheckpointWatcher::try_assemble(
 
 void CheckpointWatcher::prune_below(chain::Epoch epoch) {
   evidence_.erase(evidence_.begin(), evidence_.lower_bound(epoch));
-  reported_.erase(reported_.begin(),
-                  reported_.lower_bound({epoch, Bytes{}}));
+  // Walk from the front rather than lower_bound({epoch, Bytes{}}): the
+  // empty-key comparison makes GCC infer an out-of-range memcmp bound.
+  auto it = reported_.begin();
+  while (it != reported_.end() && it->first < epoch) it = reported_.erase(it);
 }
 
 }  // namespace hc::runtime

@@ -301,6 +301,7 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   Sha256 h;
   for (std::size_t i = 0; i < data.size(); ++i) {
     h.update(BytesView(&data[i], 1));
+    h.update(BytesView());  // empty (null) views mid-block are no-ops
   }
   EXPECT_EQ(h.finalize(), Sha256::hash(data));
 }

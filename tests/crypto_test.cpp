@@ -5,13 +5,17 @@
 #include "common/bytes.hpp"
 #include "crypto/batchverify.hpp"
 #include "crypto/ec.hpp"
+#include "crypto/field.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sigcache.hpp"
 #include "crypto/u256.hpp"
+#include "crypto_ref.hpp"
 
 namespace hc::crypto {
 namespace {
+
+using ref::mul_wide;
 
 // ---------------------------------------------------------------- U256
 
@@ -71,37 +75,42 @@ TEST(U256, MulWideFull) {
 // ---------------------------------------------------------------- field
 
 TEST(Field, AddSubInverse) {
-  const U256 a(12345);
-  const U256 b(67890);
-  EXPECT_EQ(fp::sub(fp::add(a, b), b), a);
-  EXPECT_EQ(fp::sub(a, a), U256());
+  const Fe a(12345);
+  const Fe b(67890);
+  EXPECT_EQ((a + b) - b, a);
+  EXPECT_EQ(a - a, Fe());
+  EXPECT_EQ(a + (-a), Fe());
   // Wraparound: (p - 1) + 2 == 1 (mod p)
-  U256 pm1 = fp::P();
-  pm1.sub_with_borrow(U256(1));
-  EXPECT_EQ(fp::add(pm1, U256(2)), U256(1));
+  const Fe pm1 = Fe::from_u256(fp::P() - U256(1));
+  EXPECT_EQ(pm1 + Fe(2), Fe(1));
+  EXPECT_EQ(-Fe(1), pm1);
 }
 
 TEST(Field, MulMatchesRepeatedAdd) {
-  const U256 a(0xdeadbeef);
-  U256 sum;
-  for (int i = 0; i < 1000; ++i) sum = fp::add(sum, a);
-  EXPECT_EQ(fp::mul(a, U256(1000)), sum);
+  const Fe a(0xdeadbeef);
+  Fe sum;
+  for (int i = 0; i < 1000; ++i) sum = sum + a;
+  EXPECT_EQ(a * Fe(1000), sum);
+  EXPECT_EQ(a.sqr(), a * a);
 }
 
 TEST(Field, FermatInverse) {
+  // The addition-chain inverse equals the Fermat one, a^(p-2).
   for (std::uint64_t v : {1ull, 2ull, 977ull, 0xffffffffull}) {
-    const U256 a(v);
-    EXPECT_EQ(fp::mul(a, fp::inv(a)), U256(1)) << v;
+    const Fe a(v);
+    EXPECT_EQ(a * a.inv(), Fe(1)) << v;
+    EXPECT_EQ(a.inv().to_u256(), ref::fp_inv(U256(v))) << v;
   }
 }
 
 TEST(Field, PowBasics) {
-  EXPECT_EQ(fp::pow(U256(2), U256(10)), U256(1024));
-  EXPECT_EQ(fp::pow(U256(5), U256(0)), U256(1));
+  // The reference exponentiation that the inverse is checked against.
+  EXPECT_EQ(ref::fp_pow(U256(2), U256(10)), U256(1024));
+  EXPECT_EQ(ref::fp_pow(U256(5), U256(0)), U256(1));
   // Fermat: a^(p-1) == 1 (mod p)
   U256 pm1 = fp::P();
   pm1.sub_with_borrow(U256(1));
-  EXPECT_EQ(fp::pow(U256(7), pm1), U256(1));
+  EXPECT_EQ(ref::fp_pow(U256(7), pm1), U256(1));
 }
 
 TEST(Scalar, AddMulBasics) {
@@ -149,7 +158,15 @@ TEST(Curve, MulDistributes) {
 }
 
 TEST(Curve, OrderAnnihilates) {
-  EXPECT_TRUE(Point::generator().mul(fn::N()).is_infinity());
+  const U256 nm1 = fn::N() - U256(1);
+  const Point& g = Point::generator();
+  const Point p = g.mul(U256(0xC0FFEEull));
+  EXPECT_TRUE(g.mul(fn::N()).is_infinity());
+  EXPECT_TRUE(p.mul(fn::N()).is_infinity());
+  // (n - 1) * P = -P, so adding P gives infinity.
+  EXPECT_TRUE(p.mul(nm1).equals(p.negated()));
+  EXPECT_TRUE(p.mul(nm1).add(p).is_infinity());
+  EXPECT_TRUE(Point::mul_generator(nm1).add(g).is_infinity());
 }
 
 TEST(Curve, InfinityIsIdentity) {
@@ -165,7 +182,8 @@ TEST(Curve, AddInverseGivesInfinity) {
   const Point& g = Point::generator();
   const auto ga = g.to_affine();
   ASSERT_TRUE(ga.has_value());
-  const Point neg_g = Point::from_affine(ga->x, fp::sub(U256(), ga->y));
+  const Point neg_g =
+      Point::from_affine(ga->x, (-Fe::from_u256(ga->y)).to_u256());
   EXPECT_TRUE(g.add(neg_g).is_infinity());
 }
 
@@ -206,6 +224,52 @@ TEST(Schnorr, DeterministicSigning) {
   const KeyPair kp = KeyPair::from_label("validator-2");
   const Bytes msg = to_bytes("message");
   EXPECT_EQ(kp.sign(msg), kp.sign(msg));
+}
+
+// Known answers: exact key and signature bytes. DeterministicSigning only
+// compares two signings with each other; these pin the bytes themselves,
+// so any change to the field, scalar or point arithmetic that alters an
+// output fails here.
+TEST(Schnorr, KnownAnswerPublicKeys) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"validator-0",
+       "6c6e07fc87e427cd957077036441de4ade95f934a9a7ba84b408d7575e04e89a"
+       "0c0dae9b2505044b76c1d912ededa220a5777c2dc262345a94d2a47b147a2898"},
+      {"alice",
+       "63375d4f261e12ad199d9207ad015445886b0ff54dcd6d454b288d26641fb640"
+       "536698ac7444c2c5034bb5c7d06e86ea5d21e05a0b0d720bf948a1ea29ddb000"},
+      {"kat-label-3",
+       "5fb8fbef71062d2e5846b8abb6e726134550161dfba2c25429120e916528160a"
+       "8f8410f67ebd617d743d045ffba2f3d159b5f4d9aabce606a11a53930449bd81"},
+  };
+  for (const auto& [label, hex] : cases) {
+    EXPECT_EQ(to_hex(KeyPair::from_label(label).public_key().to_bytes()), hex)
+        << label;
+  }
+}
+
+TEST(Schnorr, KnownAnswerSignatures) {
+  const KeyPair kp = KeyPair::from_label("validator-0");
+  const std::pair<const char*, const char*> cases[] = {
+      {"",
+       "44aa4989b7620c52ef8789971b5816f9f5ec4ba6f0c80299b10430f58a41a48c"
+       "fdaab084861a4c095139b10e7e48e3cc38cf3667a61bb93814500dc345facfd1"
+       "0f7cd4a20dee7cad0cb31f31d3080f7978f340b1528bd11d1d9d3b2948755ac8"},
+      {"message",
+       "3a862a86422a631af367fab777b90a129e80b8de23147c1e53fb471dca7b9882"
+       "b1baf33597d95e140554df46744ecab44b6f2d7e6d83b08d67c6f1989c478347"
+       "8f2d04d80fd956945f4fe31bf68b8488f2767362fa7088f484d86c7727c75a87"},
+      {"checkpoint for subnet f0101 at epoch 42",
+       "56ebe5a0c14a77ce0b0c290ab93e0c58247feb1def32dff855d63e9a32cb94f9"
+       "8583332fa30051c586c1ed3c9919e837857d2c3735a70d0eec0bc7ecbc8ce950"
+       "98c09e4f5afef450ef577004fcbab965c936d926eed80d1b42b28b9a54f9c5e5"},
+  };
+  for (const auto& [msg, hex] : cases) {
+    const Bytes m = to_bytes(std::string_view(msg));
+    const Signature sig = kp.sign(m);
+    EXPECT_EQ(to_hex(sig.to_bytes()), hex) << '"' << msg << '"';
+    EXPECT_TRUE(verify(kp.public_key(), m, sig)) << '"' << msg << '"';
+  }
 }
 
 TEST(Schnorr, DistinctSeedsDistinctKeys) {
