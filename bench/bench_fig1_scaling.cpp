@@ -26,10 +26,10 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("fig1_scaling");
-  return e;
-}
+// Namespace scope: constructed before the runs, so the sidecar's
+// meta.wall_seconds spans them (a function-local static would start its
+// clock at the first capture(), after the first run).
+ObsExporter exporter("fig1_scaling");
 
 constexpr sim::Duration kWindow = 10 * sim::kSecond;
 constexpr std::size_t kMsgsPerBlock = 10;   // per-chain capacity ceiling
@@ -111,7 +111,7 @@ void run_scaling(benchmark::State& state) {
         static_cast<double>(committed) / secs /
         static_cast<double>(chains.size());
     state.counters["sim_seconds"] = secs;
-    exporter().capture(h, "scaling/subnets=" + std::to_string(n_subnets),
+    exporter.capture(h, "scaling/subnets=" + std::to_string(n_subnets),
                        1000 + static_cast<std::uint64_t>(n_subnets));
   }
 }
@@ -228,7 +228,7 @@ void run_speedup(benchmark::State& state) {
         .set(static_cast<std::int64_t>(speedup * 1000.0));
     probe.obs().metrics.gauge("bench_host_cpus").set(static_cast<std::int64_t>(
         std::thread::hardware_concurrency()));
-    exporter().capture(probe, "speedup/threads=" + std::to_string(threads),
+    exporter.capture(probe, "speedup/threads=" + std::to_string(threads),
                        4242);
   }
 }

@@ -13,10 +13,10 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("fig3_crossmsg");
-  return e;
-}
+// Namespace scope: constructed before the runs, so the sidecar's
+// meta.wall_seconds spans them (a function-local static would start its
+// clock at the first capture(), after the first run).
+ObsExporter exporter("fig3_crossmsg");
 
 struct Chainline {
   runtime::Hierarchy h;
@@ -72,7 +72,7 @@ void run_topdown(benchmark::State& state) {
     state.counters["latency_sim_ms"] =
         static_cast<double>(world.h.scheduler().now() - t0) / 1000.0;
     state.counters["depth"] = depth;
-    exporter().capture(world.h, "topdown/depth=" + std::to_string(depth),
+    exporter.capture(world.h, "topdown/depth=" + std::to_string(depth),
                        2000 + static_cast<std::uint64_t>(depth));
   }
 }
@@ -132,7 +132,7 @@ void run_bottomup(benchmark::State& state) {
         static_cast<double>(world.h.scheduler().now() - t0) / 1000.0;
     state.counters["depth"] = depth;
     state.counters["period"] = period;
-    exporter().capture(world.h,
+    exporter.capture(world.h,
                        "bottomup/depth=" + std::to_string(depth) +
                            ",period=" + std::to_string(period),
                        3000 + static_cast<std::uint64_t>(depth) * 100 +
@@ -202,7 +202,7 @@ void run_path(benchmark::State& state) {
     }
     state.counters["latency_sim_ms"] =
         static_cast<double>(h.scheduler().now() - t0) / 1000.0;
-    exporter().capture(h, "path/A-to-B", 4000);
+    exporter.capture(h, "path/A-to-B", 4000);
   }
 }
 

@@ -15,10 +15,10 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("fig4_resolution");
-  return e;
-}
+// Namespace scope: constructed before the runs, so the sidecar's
+// meta.wall_seconds spans them (a function-local static would start its
+// clock at the first capture(), after the first run).
+ObsExporter exporter("fig4_resolution");
 
 void run_resolution(benchmark::State& state) {
   const bool push = state.range(0) != 0;
@@ -126,7 +126,7 @@ void run_resolution(benchmark::State& state) {
     state.counters["batch"] = batch;
     state.counters["push_enabled"] = push ? 1 : 0;
     state.counters["loss_pct"] = loss * 100;
-    exporter().capture(h,
+    exporter.capture(h,
                        std::string("resolution/push=") + (push ? "1" : "0") +
                            ",batch=" + std::to_string(batch) +
                            ",losspct=" + std::to_string(state.range(2)),

@@ -12,10 +12,10 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("fig5_atomic");
-  return e;
-}
+// Namespace scope: constructed before the runs, so the sidecar's
+// meta.wall_seconds spans them (a function-local static would start its
+// clock at the first capture(), after the first run).
+ObsExporter exporter("fig5_atomic");
 
 struct AtomicWorld {
   runtime::Hierarchy h;
@@ -148,7 +148,7 @@ void run_commit(benchmark::State& state) {
     state.counters["depth"] = depth;
     state.counters["committed"] =
         decision.value() == actors::AtomicStatus::kCommitted ? 1 : 0;
-    exporter().capture(w.h,
+    exporter.capture(w.h,
                        "commit/parties=" + std::to_string(parties) +
                            ",depth=" + std::to_string(depth),
                        6000 + static_cast<std::uint64_t>(parties) * 10 +
@@ -189,7 +189,7 @@ void run_abort(benchmark::State& state) {
     state.counters["total_sim_ms"] =
         static_cast<double>(w.h.scheduler().now() - t0) / 1000.0;
     state.counters["committed"] = 0;
-    exporter().capture(w.h, "abort/parties=2,depth=1", 6100);
+    exporter.capture(w.h, "abort/parties=2,depth=1", 6100);
   }
 }
 

@@ -25,10 +25,10 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("hotpath");
-  return e;
-}
+// Namespace scope: constructed before the runs, so the sidecar's
+// meta.wall_seconds spans them (a function-local static would start its
+// clock at the first capture(), after the first run).
+ObsExporter exporter("hotpath");
 
 constexpr sim::Duration kWindow = 5 * sim::kSecond;
 constexpr std::size_t kSubnets = 2;
@@ -122,7 +122,7 @@ void run_hotpath(benchmark::State& state) {
         wall_secs <= 0.0
             ? 0.0
             : static_cast<double>(h.scheduler().events_run()) / wall_secs;
-    exporter().capture(h, "hotpath/saturated", 7100);
+    exporter.capture(h, "hotpath/saturated", 7100);
   }
 }
 

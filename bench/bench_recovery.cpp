@@ -27,10 +27,10 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("recovery");
-  return e;
-}
+// Namespace scope: constructed before the runs, so the sidecar's
+// meta.wall_seconds spans them (a function-local static would start its
+// clock at the first capture(), after the first run).
+ObsExporter exporter("recovery");
 
 constexpr std::size_t kVictim = 2;
 constexpr sim::Duration kBlockTime = 100 * sim::kMillisecond;
@@ -119,7 +119,7 @@ void run_recovery(benchmark::State& state) {
         static_cast<double>(resync_us) / static_cast<double>(sim::kMillisecond);
     state.counters["replayed_records"] = static_cast<double>(recovery.records);
     state.counters["recovered_height"] = static_cast<double>(recovered);
-    exporter().capture(h, label, seed);
+    exporter.capture(h, label, seed);
   }
 }
 

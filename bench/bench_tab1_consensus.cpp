@@ -16,10 +16,10 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("tab1_consensus");
-  return e;
-}
+// Namespace scope: constructed before the runs, so the sidecar's
+// meta.wall_seconds spans them (a function-local static would start its
+// clock at the first capture(), after the first run).
+ObsExporter exporter("tab1_consensus");
 
 constexpr sim::Duration kWindow = 10 * sim::kSecond;
 
@@ -73,7 +73,7 @@ void run_engine(benchmark::State& state) {
                          blocks
                    : 0;
     state.counters["validators"] = static_cast<double>(n_validators);
-    exporter().capture(
+    exporter.capture(
         h,
         "engine=" + std::to_string(state.range(0)) +
             "/n=" + std::to_string(n_validators),

@@ -15,10 +15,10 @@ namespace {
 using testing::ChainWorld;
 using testing::User;
 
-ObsExporter& exporter() {
-  static ObsExporter e("tab2_lifecycle");
-  return e;
-}
+// Namespace scope: constructed before the runs, so the sidecar's
+// meta.wall_seconds spans them (a function-local static would start its
+// clock at the first capture(), after the first run).
+ObsExporter exporter("tab2_lifecycle");
 
 void run_gas(benchmark::State& state) {
   for (auto _ : state) {
@@ -121,7 +121,7 @@ void run_spawn_latency(benchmark::State& state) {
     state.counters["live_sim_ms"] =
         static_cast<double>(h.scheduler().now() - t0) / 1000.0;
     state.counters["validators"] = static_cast<double>(n_validators);
-    exporter().capture(h, "spawn/validators=" + std::to_string(n_validators),
+    exporter.capture(h, "spawn/validators=" + std::to_string(n_validators),
                        8000 + n_validators);
   }
 }

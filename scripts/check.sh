@@ -163,3 +163,11 @@ python3 scripts/bench_diff.py --wall-gate 75 \
 # profiler smoke runs with a looser top-3 coverage bound than fig1's.
 python3 scripts/profile_smoke.py --coverage 0.5 \
   "$PERF_OUT/BENCH_scale.profile.json" "$PERF_OUT/BENCH_scale.folded"
+
+# Repo benchmark smoke (perfbench/README.md): one traced xnet_mix run. The
+# perfbench binary checks op accounting and chaos::check_invariants, and
+# run.py fails unless the simulated-time metrics are identical across the
+# 2-thread, 1-thread and profiled processes — the one workload with
+# checkpoints, SCA routing, content resolution, the WAL and the parallel
+# executor. Builds into .bench_build/.
+python3 perfbench/run.py --workload xnet_mix --seed 1 --seconds 2 --trace 1

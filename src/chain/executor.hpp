@@ -53,15 +53,26 @@ class Executor {
   Receipt apply_implicit(StateTree& tree, const Message& msg,
                          const ExecutionContext& ctx) const;
 
+  /// Check every user message's envelope: the signature (one batched pass
+  /// through the SigCache, real Schnorr math only for misses) and the
+  /// sender/key binding. One flag per block.messages entry, 1 = valid.
+  [[nodiscard]] std::vector<char> verify_signatures(const Block& block) const;
+
   /// Apply all messages of a block in order (cross-msgs first, mirroring
   /// their protocol-assigned total order; then user messages). Returns one
   /// receipt per message in that order.
   std::vector<Receipt> apply_block(StateTree& tree, const Block& block) const;
 
+  /// Same, with the signature outcomes already computed by
+  /// verify_signatures(block) (block validation checks them before
+  /// executing, so the block's signatures are checked once).
+  std::vector<Receipt> apply_block(StateTree& tree, const Block& block,
+                                   const std::vector<char>& sig_ok) const;
+
   [[nodiscard]] const GasSchedule& schedule() const { return schedule_; }
 
-  /// Per-block transient arena (signature payloads, scratch). Reset at the
-  /// end of every apply_block; exposed so the owning node can flush its
+  /// Per-block transient arena (signature payloads). Reset at the end of
+  /// every signature pass; exposed so the owning node can flush its
   /// allocation stats into obs counters at deterministic points.
   [[nodiscard]] Arena& arena() const { return arena_; }
 

@@ -4,9 +4,9 @@
 // bounded by a block (or a mempool admission attempt): canonical re-encodes
 // for signature checks, receipt scratch, key material. An Arena services
 // those from contiguous chunks with a pointer bump and releases them all at
-// one deterministic reset point (end of apply_block / admission), so the
-// general-purpose heap sees one amortized allocation per chunk instead of
-// one per transient.
+// one deterministic reset point (end of a block's signature pass or of an
+// admission), so the general-purpose heap sees one amortized allocation per
+// chunk instead of one per transient.
 //
 // Arenas are strictly single-threaded: each owner (an Executor, a Mempool)
 // keeps its own, and owners only run from their subnet's scheduler lane.

@@ -315,6 +315,7 @@ std::optional<Point::Affine> Point::to_affine() const {
 }
 
 bool Point::is_on_curve(const U256& x, const U256& y) {
+  if (x >= fp::P() || y >= fp::P()) return false;
   const Fe fx = Fe::from_u256(x);
   return Fe::from_u256(y).sqr() == fx.sqr() * fx + Fe(7);
 }

@@ -68,7 +68,9 @@ class Point {
   };
   [[nodiscard]] std::optional<Affine> to_affine() const;
 
-  /// Verify the affine point (reduced mod p) satisfies the curve equation.
+  /// Verify the affine point satisfies the curve equation. Coordinates
+  /// must be canonical (< p): x + p would otherwise be a second encoding
+  /// of the same point, i.e. a second key or a malleated signature.
   [[nodiscard]] static bool is_on_curve(const U256& x, const U256& y);
 
   /// Equality as group elements (cross-multiplied, no inversion).

@@ -5,7 +5,6 @@
 
 #include "actors/methods.hpp"
 #include "common/log.hpp"
-#include "crypto/batchverify.hpp"
 #include "obs/profile.hpp"
 
 namespace hc::runtime {
@@ -487,11 +486,26 @@ chain::Block SubnetNode::build_block(const Address& miner) {
       [this](const Address& a) { return account_nonce(a); });
 
   chain::StateTree tree = store_->state().snapshot();
-  (void)executor_.apply_block(tree, block);
+  std::vector<chain::Receipt> receipts = executor_.apply_block(tree, block);
   block.header.state_root = tree.flush();
   record_state_stats(tree);
   block.header.msgs_root = block.compute_msgs_root();
+  executed_ = std::make_unique<ExecutedBlock>(
+      ExecutedBlock{block.header, std::move(tree), std::move(receipts)});
   return block;
+}
+
+bool SubnetNode::executed(const chain::BlockHeader& header) const {
+  // Execution reads the pre-state (the parent, always this node's head:
+  // every commit drops the memo), the context (height, miner, timestamp)
+  // and the messages (msgs_root); state_root is its result. ticket and
+  // proof are consensus evidence the executor never reads — the lottery
+  // writes its ticket after build_block — so they are not part of the key.
+  if (executed_ == nullptr) return false;
+  const chain::BlockHeader& h = executed_->header;
+  return h.parent == header.parent && h.height == header.height &&
+         h.miner == header.miner && h.timestamp == header.timestamp &&
+         h.msgs_root == header.msgs_root && h.state_root == header.state_root;
 }
 
 Status SubnetNode::validate_cross_messages(const chain::Block& block) {
@@ -600,31 +614,25 @@ Status SubnetNode::validate_block(const chain::Block& block) {
     return Error(Errc::kInvalidArgument, "msgs root mismatch");
   }
   HC_TRY_STATUS(validate_cross_messages(block));
-  if (!block.messages.empty()) {
-    // One batched pass through the sharded signature cache instead of a
-    // per-message lookup; payload re-encodes live in the executor's arena.
-    Arena& arena = executor_.arena();
-    crypto::BatchVerifier batch;
-    for (const auto& sm : block.messages) {
-      batch.add(sm.pubkey, arena.encode_obj(sm.message), sm.signature);
-    }
-    const std::vector<bool> verified = batch.flush();
-    arena.reset();
-    for (std::size_t i = 0; i < block.messages.size(); ++i) {
-      if (!verified[i] || !block.messages[i].sender_matches_key()) {
-        return Error(Errc::kInvalidSignature,
-                     "unsigned user message in block");
-      }
-    }
+  // One signature pass: its flags feed the execution below.
+  const std::vector<char> sig_ok = executor_.verify_signatures(block);
+  sync_arena_obs();
+  if (std::find(sig_ok.begin(), sig_ok.end(), 0) != sig_ok.end()) {
+    return Error(Errc::kInvalidSignature, "unsigned user message in block");
   }
+  // Already executed here (our own proposal, or a re-validation): the
+  // memo's root is this header's root.
+  if (executed(block.header)) return ok_status();
   chain::StateTree tree = store_->state().snapshot();
-  (void)executor_.apply_block(tree, block);
+  std::vector<chain::Receipt> receipts =
+      executor_.apply_block(tree, block, sig_ok);
   const bool root_ok = tree.flush() == block.header.state_root;
   record_state_stats(tree);
-  sync_arena_obs();
   if (!root_ok) {
     return Error(Errc::kInvalidArgument, "state root mismatch");
   }
+  executed_ = std::make_unique<ExecutedBlock>(
+      ExecutedBlock{block.header, std::move(tree), std::move(receipts)});
   return ok_status();
 }
 
@@ -632,8 +640,21 @@ void SubnetNode::commit_block(chain::Block block, Bytes proof) {
   static const obs::PhaseId commit_phase =
       obs::Profiler::instance().phase("chain/commit");
   obs::ProfileScope prof(commit_phase);
-  chain::StateTree tree = store_->state().snapshot();
-  std::vector<chain::Receipt> receipts = executor_.apply_block(tree, block);
+  // Adopt what build/validate computed; execute only a block this node
+  // never pre-executed (e.g. a Tendermint replica that validated another
+  // proposal). Either way the memo dies here: the head moves.
+  const bool adopt = executed(block.header);
+  chain::StateTree tree;
+  std::vector<chain::Receipt> receipts;
+  if (adopt) {
+    tree = std::move(executed_->state);
+    receipts = std::move(executed_->receipts);
+  }
+  executed_.reset();
+  if (!adopt) {
+    tree = store_->state().snapshot();
+    receipts = executor_.apply_block(tree, block);
+  }
   const chain::Epoch height = block.header.height;
   const chain::Block committed = block;  // keep for after_commit
   if (Status ok = store_->append(std::move(block), std::move(tree)); !ok) {
@@ -642,9 +663,10 @@ void SubnetNode::commit_block(chain::Block block, Bytes proof) {
         << "commit failed: " << ok.error().to_string();
     return;
   }
-  // The appended tree (snapshot copy, so stats started at zero) now holds
-  // the commitment cost of executing + flushing this block.
-  record_state_stats(store_->state());
+  // A fresh execution's stats (snapshot copy, so they started at zero)
+  // are recorded here, after append's flush; an adopted tree's were
+  // recorded when build/validate flushed it.
+  if (!adopt) record_state_stats(store_->state());
   proofs_.resize(static_cast<std::size_t>(height));
   proofs_[static_cast<std::size_t>(height - 1)] = std::move(proof);
 

@@ -491,6 +491,20 @@ class SubnetNode final : public consensus::BlockSource,
 
   /// Add one tree's accumulated commitment stats to the node counters.
   void record_state_stats(const chain::StateTree& tree);
+
+  /// One execution per block per replica (DESIGN.md §12): build_block and
+  /// a successful validate_block leave the block's flushed post-state and
+  /// receipts here; commit_block adopts them instead of re-executing and
+  /// drops the memo on every commit. At most one block is held, on the
+  /// heap: an idle replica pays one pointer, not ~600 bytes (city scale).
+  struct ExecutedBlock {
+    chain::BlockHeader header;
+    chain::StateTree state;
+    std::vector<chain::Receipt> receipts;
+  };
+  std::unique_ptr<ExecutedBlock> executed_;
+  /// True when the memo holds the execution of a block with `header`.
+  [[nodiscard]] bool executed(const chain::BlockHeader& header) const;
 };
 
 }  // namespace hc::runtime

@@ -289,6 +289,39 @@ TEST(Schnorr, PublicKeyRejectsOffCurvePoint) {
   EXPECT_FALSE(PublicKey::from_bytes(junk).ok());
 }
 
+// (1, y) with y = sqrt(8) mod p is on the curve; x = p + 1 still fits in
+// 256 bits and reduces to the same point, so without a canonical check
+// one key would have two encodings (and two key Addresses).
+constexpr const char* kXOneY =
+    "4218f20ae6c646b363db68605822fb14264ca8d2587fdd6fbc750d587e76a7ee";
+constexpr const char* kPPlusOne =
+    "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc30";
+
+TEST(Schnorr, PublicKeyRejectsNonCanonicalCoordinates) {
+  const Bytes canonical = *from_hex(std::string(63, '0') + "1" + kXOneY);
+  ASSERT_TRUE(PublicKey::from_bytes(canonical).ok());
+  const Bytes x_plus_p = *from_hex(std::string(kPPlusOne) + kXOneY);
+  EXPECT_TRUE(
+      Point::is_on_curve(U256(1), U256::from_be_bytes(*from_hex(kXOneY))));
+  EXPECT_FALSE(Point::is_on_curve(U256::from_be_bytes(*from_hex(kPPlusOne)),
+                                  U256::from_be_bytes(*from_hex(kXOneY))));
+  EXPECT_FALSE(PublicKey::from_bytes(x_plus_p).ok());
+}
+
+TEST(Schnorr, VerifyRejectsNonCanonicalNonce) {
+  // R given as rx + p with rx = 1: the same group element as the canonical
+  // (1, y). Nobody knows its discrete log, so no real signature carries
+  // it; this pins the rule that verify refuses such a nonce outright.
+  const KeyPair kp = KeyPair::from_label("validator-0");
+  const Bytes msg = to_bytes("message");
+  const Signature sig = kp.sign(msg);
+  const Signature non_canonical(U256::from_be_bytes(*from_hex(kPPlusOne)),
+                                U256::from_be_bytes(*from_hex(kXOneY)),
+                                sig.s());
+  EXPECT_FALSE(verify(kp.public_key(), msg, non_canonical));
+  EXPECT_TRUE(verify(kp.public_key(), msg, sig));
+}
+
 TEST(Schnorr, SignatureRejectsBadLength) {
   EXPECT_FALSE(Signature::from_bytes(Bytes(95, 0)).ok());
 }
